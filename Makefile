@@ -18,6 +18,7 @@ race:
 	$(GO) test -race -shuffle=on ./internal/sim/... ./internal/experiments/... ./internal/vring/...
 	$(GO) test -race -shuffle=on ./internal/proto/... ./internal/netem/... ./internal/overlay/...
 	$(GO) test -race -shuffle=on ./internal/telemetry/... ./internal/cluster/...
+	$(GO) test -race -shuffle=on ./internal/canon/... ./internal/topology/... ./internal/baseline/...
 
 # Project invariants (internal/lint): the analyzer suite, then the
 # ignore-budget gate — the live per-analyzer suppression counts must

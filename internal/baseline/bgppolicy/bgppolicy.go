@@ -59,21 +59,45 @@ func (t *Table) Path(src, dst topology.ASN, up LinkFilter) []topology.ASN {
 
 	var goal state
 	found := false
+	visit := func(next, cur state) {
+		i := idx(next)
+		if visited[i] {
+			return
+		}
+		visited[i] = true
+		parent[i] = cur
+		if next.as == dst {
+			goal, found = next, true
+			return
+		}
+		queue = append(queue, next)
+	}
 	for len(queue) > 0 && !found {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, next := range t.moves(cur.as, cur.ph, up) {
-			i := idx(next)
-			if visited[i] {
+		nbrs, rels := t.g.Adjacency(cur.as)
+		for k, b := range nbrs {
+			if up != nil && !up(cur.as, b) {
 				continue
 			}
-			visited[i] = true
-			parent[i] = cur
-			if next.as == dst {
-				goal, found = next, true
+			switch rels[k] {
+			case topology.RelProvider, topology.RelBackup:
+				// Ascending only.
+				if cur.ph == ascending {
+					visit(state{as: b, ph: ascending}, cur)
+				}
+			case topology.RelPeer:
+				// One peer crossing, at the top of the path.
+				if cur.ph == ascending {
+					visit(state{as: b, ph: descending}, cur)
+				}
+			case topology.RelCustomer:
+				// Descending is always allowed and is terminal-phase.
+				visit(state{as: b, ph: descending}, cur)
+			}
+			if found {
 				break
 			}
-			queue = append(queue, next)
 		}
 	}
 	if !found {
@@ -90,31 +114,6 @@ func (t *Table) Path(src, dst topology.ASN, up LinkFilter) []topology.ASN {
 		// reconstruction robust).
 		if len(out) == 0 || out[len(out)-1] != rev[i] {
 			out = append(out, rev[i])
-		}
-	}
-	return out
-}
-
-func (t *Table) moves(a topology.ASN, ph phase, up LinkFilter) []state {
-	var out []state
-	for _, b := range t.g.Neighbors(a) {
-		if up != nil && !up(a, b) {
-			continue
-		}
-		switch t.g.Relation(a, b) {
-		case topology.RelProvider, topology.RelBackup:
-			// Ascending only.
-			if ph == ascending {
-				out = append(out, state{as: b, ph: ascending})
-			}
-		case topology.RelPeer:
-			// One peer crossing, at the top of the path.
-			if ph == ascending {
-				out = append(out, state{as: b, ph: descending})
-			}
-		case topology.RelCustomer:
-			// Descending is always allowed and is terminal-phase.
-			out = append(out, state{as: b, ph: descending})
 		}
 	}
 	return out

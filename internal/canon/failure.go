@@ -2,6 +2,7 @@ package canon
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rofl/internal/ident"
@@ -18,17 +19,29 @@ import (
 // routing through their other providers; backup links activate when all
 // primary links are down.
 func (in *Internet) FailASLink(a, b topology.ASN) {
-	in.failedLink[linkKey(a, b)] = true
+	if in.LinkFailed(a, b) {
+		return
+	}
+	in.failedPeers[a] = append(in.failedPeers[a], b)
+	if a != b {
+		in.failedPeers[b] = append(in.failedPeers[b], a)
+	}
 }
 
 // RestoreASLink restores a failed adjacency.
 func (in *Internet) RestoreASLink(a, b topology.ASN) {
-	delete(in.failedLink, linkKey(a, b))
+	drop := func(x, y topology.ASN) {
+		if i := slices.Index(in.failedPeers[x], y); i >= 0 {
+			in.failedPeers[x] = slices.Delete(in.failedPeers[x], i, i+1)
+		}
+	}
+	drop(a, b)
+	drop(b, a)
 }
 
 // LinkFailed reports whether the adjacency is currently failed.
 func (in *Internet) LinkFailed(a, b topology.ASN) bool {
-	return in.failedLink[linkKey(a, b)]
+	return slices.Contains(in.failedPeers[a], b)
 }
 
 // HostVirtual arranges for a provider AS to stand by as a virtual host

@@ -22,6 +22,7 @@ package canon
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"rofl/internal/bloom"
@@ -257,9 +258,14 @@ type Internet struct {
 	// subtreeSizes memoizes subtree cardinalities per root.
 	subtreeSizes map[Root]int
 
-	// failedLink marks failed AS adjacencies (A < B normalized).
-	failedLink map[[2]topology.ASN]bool
-	failedAS   []bool
+	// failedPeers[a] lists the ASes whose link with a is failed: an
+	// overlay on the shared graph, so trials never mutate it. It is
+	// almost always empty, which keeps linkUp to a length check.
+	failedPeers [][]topology.ASN
+	failedAS    []bool
+
+	// bfs is pathWithin's reusable search scratch.
+	bfs bfsScratch
 
 	// virtualHosts maps identifiers to the provider AS that agreed to
 	// host a virtual server for them during their own AS's outages
@@ -281,8 +287,9 @@ func New(g *topology.ASGraph, m sim.Metrics, opts Options) *Internet {
 		rings:        make(map[Root][]Ptr),
 		hostedAt:     make(map[ident.ID]topology.ASN),
 		subtreeSizes: make(map[Root]int),
-		failedLink:   make(map[[2]topology.ASN]bool),
+		failedPeers:  make([][]topology.ASN, g.NumASes()),
 		failedAS:     make([]bool, g.NumASes()),
+		bfs:          newBFSScratch(g.NumASes()),
 		virtualHosts: make(map[ident.ID]topology.ASN),
 	}
 	in.ases = make([]*AS, g.NumASes())
@@ -372,19 +379,12 @@ func (in *Internet) subtreeSize(r Root) int {
 
 // --- Policy-compliant AS paths -------------------------------------------
 
-func linkKey(a, b topology.ASN) [2]topology.ASN {
-	if b < a {
-		a, b = b, a
-	}
-	return [2]topology.ASN{a, b}
-}
-
 // linkUp reports whether the a–b adjacency is usable.
 func (in *Internet) linkUp(a, b topology.ASN) bool {
 	if in.failedAS[a] || in.failedAS[b] {
 		return false
 	}
-	return !in.failedLink[linkKey(a, b)]
+	return !slices.Contains(in.failedPeers[a], b)
 }
 
 // activeProviders returns a's usable upstream links: primary providers
@@ -403,12 +403,31 @@ func (in *Internet) activeProviders(a topology.ASN) []topology.ASN {
 		return primary
 	}
 	var backup []topology.ASN
-	for _, p := range in.G.Providers(a) {
-		if in.G.Relation(a, p) == topology.RelBackup && in.linkUp(a, p) {
+	for _, p := range in.G.BackupProviders(a) {
+		if in.linkUp(a, p) {
 			backup = append(backup, p)
 		}
 	}
 	return backup
+}
+
+// phases is the number of valley-free search states per AS: 0 while
+// ascending provider links, 1 once descending.
+const phases = 2
+
+// bfsScratch is the search state pathWithin reuses across calls. State
+// s = AS*phases + phase is visited in the current search iff
+// seen[s] == epoch, so a search starts by bumping the epoch instead of
+// clearing the arrays; they are cleared only when the epoch wraps.
+type bfsScratch struct {
+	epoch  uint32
+	seen   []uint32
+	parent []int32 // predecessor state, -1 at the start state
+	queue  []int32
+}
+
+func newBFSScratch(n int) bfsScratch {
+	return bfsScratch{seen: make([]uint32, n*phases), parent: make([]int32, n*phases)}
 }
 
 // pathWithin returns the shortest policy-compliant AS path from `from`
@@ -420,105 +439,144 @@ func (in *Internet) pathWithin(root Root, from, to topology.ASN) []topology.ASN 
 	if from == to {
 		return []topology.ASN{from}
 	}
-	if !in.inSubtree(root, from) || !in.inSubtree(root, to) {
+	goal := in.search(root, from, to)
+	if goal < 0 {
 		return nil
 	}
-	if in.failedAS[from] || in.failedAS[to] {
-		return nil
-	}
-	n := in.G.NumASes()
-	const phases = 2 // 0 ascending, 1 descending
-	visited := make([]bool, n*phases)
-	parent := make([]int32, n*phases)
-	for i := range parent {
-		parent[i] = -1
-	}
-	idx := func(a topology.ASN, ph int) int { return int(a)*phases + ph }
-	start := idx(from, 0)
-	visited[start] = true
-	queue := []int{start}
-	goal := -1
-	for len(queue) > 0 && goal == -1 {
-		cur := queue[0]
-		queue = queue[1:]
-		a := topology.ASN(cur / phases)
-		ph := cur % phases
-		push := func(b topology.ASN, nph int) {
-			if in.failedAS[b] || !in.inSubtree(root, b) {
-				return
-			}
-			i := idx(b, nph)
-			if visited[i] {
-				return
-			}
-			visited[i] = true
-			parent[i] = int32(cur)
-			if b == to {
-				goal = i
-				return
-			}
-			queue = append(queue, i)
-		}
-		if ph == 0 {
-			for _, p := range in.activeProviders(a) {
-				push(p, 0)
-				if goal != -1 {
-					break
-				}
-			}
-			if goal == -1 {
-				// Peer crossings permitted by the root.
-				for _, q := range in.G.Peers(a) {
-					if !in.linkUp(a, q) {
-						continue
-					}
-					allowed := false
-					switch root.Kind {
-					case RootPeer:
-						allowed = (a == root.A && q == root.B) || (a == root.B && q == root.A)
-					case RootTop:
-						allowed = in.G.Tier(a) == 1 && in.G.Tier(q) == 1
-					}
-					if allowed {
-						push(q, 1)
-						if goal != -1 {
-							break
-						}
-					}
-				}
-			}
-		}
-		if goal == -1 {
-			for _, c := range in.G.Customers(a) {
-				if !in.linkUp(a, c) {
-					continue
-				}
-				// A backup customer link carries traffic only while the
-				// customer's primary access links are all down (§4.2).
-				if in.G.Relation(c, a) == topology.RelBackup && in.hasPrimaryUp(c) {
-					continue
-				}
-				push(c, 1)
-				if goal != -1 {
-					break
-				}
-			}
-		}
-	}
-	if goal == -1 {
-		return nil
-	}
-	var rev []topology.ASN
-	for i := goal; i != -1; i = int(parent[i]) {
-		rev = append(rev, topology.ASN(i/phases))
-	}
-	out := make([]topology.ASN, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		if len(out) == 0 || out[len(out)-1] != rev[i] {
-			out = append(out, rev[i])
-		}
+	out := make([]topology.ASN, in.chainHops(goal)+1)
+	for i, s := len(out)-1, goal; s >= 0; i, s = i-1, in.bfs.parent[s] {
+		out[i] = topology.ASN(s / phases)
 	}
 	return out
+}
+
+// hopsWithin is pathWithin's hop count, or -1.
+func (in *Internet) hopsWithin(root Root, from, to topology.ASN) int {
+	if from == to {
+		return 0
+	}
+	goal := in.search(root, from, to)
+	if goal < 0 {
+		return -1
+	}
+	return in.chainHops(goal)
+}
+
+// chainHops counts the hops from the last search's start to state s.
+// Consecutive states always differ in AS (every move crosses a link),
+// so states and ASes on the path correspond one to one.
+func (in *Internet) chainHops(s int32) int {
+	h := 0
+	for s = in.bfs.parent[s]; s >= 0; s = in.bfs.parent[s] {
+		h++
+	}
+	return h
+}
+
+// search runs pathWithin's breadth-first search (from != to) and
+// returns the goal state, or -1 when `to` is unreachable. Neighbours are
+// visited in a fixed order — active providers, then root-permitted peer
+// crossings, then customers, each ascending by ASN — which fixes every
+// tie between equal-length paths.
+func (in *Internet) search(root Root, from, to topology.ASN) int32 {
+	if !in.inSubtree(root, from) || !in.inSubtree(root, to) {
+		return -1
+	}
+	if in.failedAS[from] || in.failedAS[to] {
+		return -1
+	}
+	s := &in.bfs
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.seen)
+		s.epoch = 1
+	}
+	start := int32(from) * phases
+	s.seen[start] = s.epoch
+	s.parent[start] = -1
+	s.queue = append(s.queue[:0], start)
+	for head := 0; head < len(s.queue); head++ {
+		cur := s.queue[head]
+		a := topology.ASN(cur / phases)
+		if cur%phases == 0 {
+			// Active providers: the primaries that are up, or the
+			// backups that are up when no primary is.
+			anyUp := false
+			for _, p := range in.G.PrimaryProviders(a) {
+				if in.linkUp(a, p) {
+					anyUp = true
+					if in.visit(root, to, p, 0, cur) {
+						return int32(p) * phases
+					}
+				}
+			}
+			if !anyUp {
+				for _, p := range in.G.BackupProviders(a) {
+					if in.linkUp(a, p) && in.visit(root, to, p, 0, cur) {
+						return int32(p) * phases
+					}
+				}
+			}
+			// Peer crossings permitted by the root.
+			if root.Kind != RootAS {
+				for _, q := range in.G.Peers(a) {
+					if in.peerAllowed(root, a, q) && in.linkUp(a, q) && in.visit(root, to, q, 1, cur) {
+						return int32(q)*phases + 1
+					}
+				}
+			}
+		}
+		custs, backup := in.G.CustomerLinks(a)
+		for i, c := range custs {
+			if !in.linkUp(a, c) {
+				continue
+			}
+			// A backup customer link carries traffic only while the
+			// customer's primary access links are all down (§4.2).
+			if backup[i] && in.hasPrimaryUp(c) {
+				continue
+			}
+			if in.visit(root, to, c, 1, cur) {
+				return int32(c)*phases + 1
+			}
+		}
+	}
+	return -1
+}
+
+// peerAllowed reports whether a search within root may cross the a–q
+// peering link: the root's own link (RootPeer) or any tier-1 link
+// (RootTop).
+func (in *Internet) peerAllowed(root Root, a, q topology.ASN) bool {
+	switch root.Kind {
+	case RootPeer:
+		return (a == root.A && q == root.B) || (a == root.B && q == root.A)
+	case RootTop:
+		return in.G.Tier(a) == 1 && in.G.Tier(q) == 1
+	default:
+		return false
+	}
+}
+
+// visit marks state (b, ph) reached from state cur and queues it,
+// unless b is down, outside root's subtree or already visited. It
+// reports whether b is the search target.
+func (in *Internet) visit(root Root, to, b topology.ASN, ph, cur int32) bool {
+	if in.failedAS[b] || !in.inSubtree(root, b) {
+		return false
+	}
+	s := &in.bfs
+	i := int32(b)*phases + ph
+	if s.seen[i] == s.epoch {
+		return false
+	}
+	s.seen[i] = s.epoch
+	s.parent[i] = cur
+	if b == to {
+		return true
+	}
+	s.queue = append(s.queue, i)
+	return false
 }
 
 // hasPrimaryUp reports whether AS c still has a usable primary provider
@@ -530,13 +588,4 @@ func (in *Internet) hasPrimaryUp(c topology.ASN) bool {
 		}
 	}
 	return false
-}
-
-// hopsWithin is pathWithin's hop count, or -1.
-func (in *Internet) hopsWithin(root Root, from, to topology.ASN) int {
-	p := in.pathWithin(root, from, to)
-	if p == nil {
-		return -1
-	}
-	return len(p) - 1
 }

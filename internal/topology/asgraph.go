@@ -3,7 +3,7 @@ package topology
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // ASN identifies an autonomous system in an ASGraph.
@@ -47,38 +47,118 @@ func (r Relation) String() string {
 
 // ASGraph is an annotated AS-level topology. The paper models "each AS as
 // a single node" interdomain (§6.1); we do the same.
+//
+// Each AS's adjacency is held once, as sorted arrays split by relation
+// (see asAdj). SetRelation keeps them current, so every accessor is a
+// pure read: it allocates nothing, and any number of goroutines may read
+// one graph at once as long as none calls a Set method. Accessors return
+// shared, read-only views whose capacity is clipped to their length, so
+// a caller's append copies instead of writing into the graph. A view is
+// valid until the next SetRelation touching that AS.
 type ASGraph struct {
 	n     int
-	rel   []map[ASN]Relation // rel[a][b] = relation of b as seen from a
-	hosts []int              // skitter-substitute host counts
-	tier  []int              // 1 = core clique, 2 = transit, 3 = stub
+	adj   []asAdj
+	hosts []int // skitter-substitute host counts
+	tier  []int // 1 = core clique, 2 = transit, 3 = stub
+}
+
+// asAdj is one AS's adjacency. Every array (each half of provs) is in
+// ascending ASN order, so visiting a relation's neighbours in array
+// order is deterministic.
+type asAdj struct {
+	nbrs []ASN      // every neighbour
+	rels []Relation // rels[i]: how this AS sees nbrs[i]
+
+	provs    []ASN // primary providers, then backup providers
+	nPrimary int   // provs[:nPrimary] are the primary providers
+
+	custs      []ASN  // customers
+	custBackup []bool // custBackup[i]: custs[i] attaches over a backup link
+
+	peers []ASN
 }
 
 // NewASGraph returns an empty AS graph with n ASes and no adjacencies.
 func NewASGraph(n int) *ASGraph {
-	g := &ASGraph{
+	return &ASGraph{
 		n:     n,
-		rel:   make([]map[ASN]Relation, n),
+		adj:   make([]asAdj, n),
 		hosts: make([]int, n),
 		tier:  make([]int, n),
 	}
-	for i := range g.rel {
-		g.rel[i] = make(map[ASN]Relation)
-	}
-	return g
 }
 
 // NumASes returns the number of ASes.
 func (g *ASGraph) NumASes() int { return g.n }
 
 // SetRelation installs a directed pair: as seen from a, b is rel; the
-// reverse direction is set to the inverse relation automatically.
+// reverse direction is set to the inverse relation automatically. An
+// existing a–b relation is replaced; RelNone removes the adjacency.
 func (g *ASGraph) SetRelation(a, b ASN, rel Relation) {
 	if a == b {
 		panic("topology: AS self-adjacency")
 	}
-	g.rel[a][b] = rel
-	g.rel[b][a] = inverse(rel)
+	g.adj[a].unlink(b)
+	g.adj[b].unlink(a)
+	if rel == RelNone {
+		return
+	}
+	inv := inverse(rel)
+	// A customer edge is a backup link when the customer sees its
+	// provider as RelBackup.
+	g.adj[a].link(b, rel, inv == RelBackup)
+	g.adj[b].link(a, inv, rel == RelBackup)
+}
+
+// link adds neighbour b, seen as rel; backup flags a customer edge whose
+// customer sees this AS as a backup provider.
+func (x *asAdj) link(b ASN, rel Relation, backup bool) {
+	i, _ := slices.BinarySearch(x.nbrs, b)
+	x.nbrs = slices.Insert(x.nbrs, i, b)
+	x.rels = slices.Insert(x.rels, i, rel)
+	switch rel {
+	case RelProvider:
+		i, _ := slices.BinarySearch(x.provs[:x.nPrimary], b)
+		x.provs = slices.Insert(x.provs, i, b)
+		x.nPrimary++
+	case RelBackup:
+		i, _ := slices.BinarySearch(x.provs[x.nPrimary:], b)
+		x.provs = slices.Insert(x.provs, x.nPrimary+i, b)
+	case RelCustomer:
+		i, _ := slices.BinarySearch(x.custs, b)
+		x.custs = slices.Insert(x.custs, i, b)
+		x.custBackup = slices.Insert(x.custBackup, i, backup)
+	case RelPeer:
+		i, _ := slices.BinarySearch(x.peers, b)
+		x.peers = slices.Insert(x.peers, i, b)
+	}
+}
+
+// unlink removes neighbour b, if present, from every array.
+func (x *asAdj) unlink(b ASN) {
+	i, ok := slices.BinarySearch(x.nbrs, b)
+	if !ok {
+		return
+	}
+	rel := x.rels[i]
+	x.nbrs = slices.Delete(x.nbrs, i, i+1)
+	x.rels = slices.Delete(x.rels, i, i+1)
+	switch rel {
+	case RelProvider:
+		i, _ := slices.BinarySearch(x.provs[:x.nPrimary], b)
+		x.provs = slices.Delete(x.provs, i, i+1)
+		x.nPrimary--
+	case RelBackup:
+		i, _ := slices.BinarySearch(x.provs[x.nPrimary:], b)
+		x.provs = slices.Delete(x.provs, x.nPrimary+i, x.nPrimary+i+1)
+	case RelCustomer:
+		i, _ := slices.BinarySearch(x.custs, b)
+		x.custs = slices.Delete(x.custs, i, i+1)
+		x.custBackup = slices.Delete(x.custBackup, i, i+1)
+	case RelPeer:
+		i, _ := slices.BinarySearch(x.peers, b)
+		x.peers = slices.Delete(x.peers, i, i+1)
+	}
 }
 
 func inverse(r Relation) Relation {
@@ -96,87 +176,75 @@ func inverse(r Relation) Relation {
 	}
 }
 
+// view returns s as a read-only view: capacity clipped to length, so an
+// append by the caller cannot write into the graph.
+func view[T any](s []T) []T { return s[:len(s):len(s)] }
+
 // Relation returns how a sees b.
-func (g *ASGraph) Relation(a, b ASN) Relation { return g.rel[a][b] }
-
-// Providers returns a's providers (including backup providers last),
-// sorted for determinism.
-func (g *ASGraph) Providers(a ASN) []ASN {
-	var primary, backup []ASN
-	for b, r := range g.rel[a] {
-		switch r {
-		case RelProvider:
-			primary = append(primary, b)
-		case RelBackup:
-			backup = append(backup, b)
-		}
+func (g *ASGraph) Relation(a, b ASN) Relation {
+	x := &g.adj[a]
+	if i, ok := slices.BinarySearch(x.nbrs, b); ok {
+		return x.rels[i]
 	}
-	sortASNs(primary)
-	sortASNs(backup)
-	return append(primary, backup...)
+	return RelNone
 }
 
-// PrimaryProviders returns a's non-backup providers.
+// Adjacency returns every neighbour of a, sorted, with rels[i] the
+// relation of nbrs[i] as seen from a.
+func (g *ASGraph) Adjacency(a ASN) (nbrs []ASN, rels []Relation) {
+	x := &g.adj[a]
+	return view(x.nbrs), view(x.rels)
+}
+
+// Providers returns a's providers: primary providers sorted, then backup
+// providers sorted.
+func (g *ASGraph) Providers(a ASN) []ASN { return view(g.adj[a].provs) }
+
+// PrimaryProviders returns a's non-backup providers, sorted.
 func (g *ASGraph) PrimaryProviders(a ASN) []ASN {
-	var out []ASN
-	for b, r := range g.rel[a] {
-		if r == RelProvider {
-			out = append(out, b)
-		}
-	}
-	sortASNs(out)
-	return out
+	x := &g.adj[a]
+	return view(x.provs[:x.nPrimary])
 }
 
-// Customers returns a's customers, sorted.
-func (g *ASGraph) Customers(a ASN) []ASN {
-	var out []ASN
-	for b, r := range g.rel[a] {
-		if r == RelCustomer {
-			out = append(out, b)
-		}
-	}
-	sortASNs(out)
-	return out
+// BackupProviders returns a's backup providers, sorted.
+func (g *ASGraph) BackupProviders(a ASN) []ASN {
+	x := &g.adj[a]
+	return view(x.provs[x.nPrimary:])
+}
+
+// Customers returns a's customers, sorted, over primary and backup
+// links alike.
+func (g *ASGraph) Customers(a ASN) []ASN { return view(g.adj[a].custs) }
+
+// CustomerLinks returns Customers(a) together with a per-edge flag:
+// backup[i] reports that custs[i] attaches to a over a backup link,
+// which carries traffic only while that customer's primary links are
+// down (§4.2).
+func (g *ASGraph) CustomerLinks(a ASN) (custs []ASN, backup []bool) {
+	x := &g.adj[a]
+	return view(x.custs), view(x.custBackup)
 }
 
 // PrimaryCustomers returns a's customers attached over primary (non
-// backup) links, sorted. Customer cones built from these are what join
-// strategies cover, since backup links are excluded from joins (§4.2).
+// backup) links, sorted, in a new slice. Customer cones built from these
+// are what join strategies cover, since backup links are excluded from
+// joins (§4.2).
 func (g *ASGraph) PrimaryCustomers(a ASN) []ASN {
 	var out []ASN
-	for b, r := range g.rel[a] {
-		if r == RelCustomer && g.rel[b][a] == RelProvider {
-			out = append(out, b)
+	custs, backup := g.CustomerLinks(a)
+	for i, c := range custs {
+		if !backup[i] {
+			out = append(out, c)
 		}
 	}
-	sortASNs(out)
 	return out
 }
 
 // Peers returns a's peers, sorted.
-func (g *ASGraph) Peers(a ASN) []ASN {
-	var out []ASN
-	for b, r := range g.rel[a] {
-		if r == RelPeer {
-			out = append(out, b)
-		}
-	}
-	sortASNs(out)
-	return out
-}
+func (g *ASGraph) Peers(a ASN) []ASN { return view(g.adj[a].peers) }
 
 // Neighbors returns every adjacent AS regardless of relation, sorted.
-func (g *ASGraph) Neighbors(a ASN) []ASN {
-	out := make([]ASN, 0, len(g.rel[a]))
-	for b := range g.rel[a] {
-		out = append(out, b)
-	}
-	sortASNs(out)
-	return out
-}
-
-func sortASNs(s []ASN) { sort.Slice(s, func(i, j int) bool { return s[i] < s[j] }) }
+func (g *ASGraph) Neighbors(a ASN) []ASN { return view(g.adj[a].nbrs) }
 
 // SetHosts records the (skitter-substitute) host count of an AS.
 func (g *ASGraph) SetHosts(a ASN, n int) { g.hosts[a] = n }
@@ -253,7 +321,7 @@ func (g *ASGraph) UpHierarchyLevels(x ASN, includeBackup bool) [][]ASN {
 		if len(next) == 0 {
 			break
 		}
-		sortASNs(next)
+		slices.Sort(next)
 		levels = append(levels, next)
 		cur = next
 	}
@@ -295,15 +363,15 @@ func (g *ASGraph) downHierarchy(root ASN, customers func(ASN) []ASN) []ASN {
 			}
 		}
 	}
-	sortASNs(out)
+	slices.Sort(out)
 	return out
 }
 
 // String summarizes the graph.
 func (g *ASGraph) String() string {
 	links := 0
-	for a := 0; a < g.n; a++ {
-		links += len(g.rel[a])
+	for a := range g.adj {
+		links += len(g.adj[a].nbrs)
 	}
 	return fmt.Sprintf("asgraph{ases=%d links=%d}", g.n, links/2)
 }
@@ -411,6 +479,6 @@ func pickDistinct(pool []ASN, k int, rng *rand.Rand) []ASN {
 	for i := 0; i < k; i++ {
 		out[i] = pool[perm[i]]
 	}
-	sortASNs(out)
+	slices.Sort(out)
 	return out
 }
